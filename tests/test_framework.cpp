@@ -14,6 +14,7 @@
 #include "common/error.h"
 #include "ifdk/fdk.h"
 #include "ifdk/framework.h"
+#include "fdk_oracle.h"
 #include "minimpi/minimpi.h"
 #include "phantom/phantom.h"
 
@@ -179,6 +180,55 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int, int>{2, 1},   // R=1, C=2 (no gather)
                       std::pair<int, int>{4, 2},   // R=2, C=2
                       std::pair<int, int>{6, 3})); // R=3, C=2
+
+class SerialOracle
+    : public ::testing::TestWithParam<std::pair<int, int>> {};  // ranks, rows
+
+TEST_P(SerialOracle, BitwiseMatchesBlockingPath) {
+  // The serial oracle must reproduce the blocking reference path bit for
+  // bit on every grid and segment size the overlap pin sweeps.
+  const auto [ranks, rows] = GetParam();
+  const Scene s = make_scene(48, 24, 12);
+  for (const std::size_t segment :
+       {std::size_t{64}, std::size_t{1000},
+        mpi::Comm::kDefaultReduceSegment}) {
+    pfs::ParallelFileSystem fs;
+    stage_projections(fs, "proj/", s.projections);
+    IfdkOptions blocking;
+    blocking.ranks = ranks;
+    blocking.rows = rows;
+    blocking.overlap = false;
+    blocking.reduce_segment_floats = segment;
+    run_distributed(s.g, fs, blocking);
+    const Volume ref = load_volume(fs, "vol/slice_", s.g.vol_dims());
+    const Volume oracle = serial_fdk_oracle(
+        DecompositionPlan::make(s.g, blocking), s.projections);
+    for (std::size_t n = 0; n < ref.voxels(); ++n) {
+      ASSERT_EQ(oracle.data()[n], ref.data()[n])
+          << "grid " << rows << "x" << ranks / rows << ", segment " << segment
+          << ", voxel " << n;
+    }
+  }
+}
+
+TEST_P(SerialOracle, MatchesSingleNodeFdk) {
+  const auto [ranks, rows] = GetParam();
+  const Scene s = make_scene(48, 24, 12);
+  IfdkOptions opts;
+  opts.ranks = ranks;
+  opts.rows = rows;
+  const Volume oracle =
+      serial_fdk_oracle(DecompositionPlan::make(s.g, opts), s.projections);
+  EXPECT_LT(relative_rmse(s.reference, oracle), 1e-6)
+      << "grid " << rows << "x" << ranks / rows;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GridShapes, SerialOracle,
+    ::testing::Values(std::pair<int, int>{1, 1}, std::pair<int, int>{2, 2},
+                      std::pair<int, int>{2, 1}, std::pair<int, int>{4, 2},
+                      std::pair<int, int>{6, 3},
+                      std::pair<int, int>{8, 2}));  // C=4: fold order shows
 
 TEST(Framework, OverlapStatsExposeThreadEfficiencies) {
   const Scene s = make_scene(48, 12, 12);
