@@ -94,25 +94,26 @@ void collective_throughput() {
         Timer timer;
         constexpr int kIters = 20;
         for (int i = 0; i < kIters; ++i) {
-          comm.allgather(send.data(), bytes, recv.data());
+          comm.iallgather_ring(send.data(), bytes, recv.data()).wait();
         }
         if (comm.rank() == 0) ag_ms = timer.milliseconds() / kIters;
         comm.barrier();
         Timer timer2;
         std::vector<float> red(send.size());
         for (int i = 0; i < kIters; ++i) {
-          comm.reduce(send.data(), red.data(), send.size(),
-                      mpi::ReduceOp::kSum, 0);
+          comm.ireduce(send.data(), red.data(), send.size(),
+                       mpi::ReduceOp::kSum, 0)
+              .wait();
         }
         if (comm.rank() == 0) red_ms = timer2.milliseconds() / kIters;
       });
       t.row()
-          .add("AllGather")
+          .add("iallgather_ring")
           .add(static_cast<std::int64_t>(ranks))
           .add(std::to_string(kb) + " KiB")
           .add(ag_ms, 3);
       t.row()
-          .add("Reduce")
+          .add("ireduce (tree)")
           .add(static_cast<std::int64_t>(ranks))
           .add(std::to_string(kb) + " KiB")
           .add(red_ms, 3);

@@ -16,7 +16,9 @@
 namespace ifdk::mpi {
 namespace {
 
-TEST(NonblockingCollectives, IallgatherRingMatchesBlocking) {
+TEST(NonblockingCollectives, IallgatherRingMatchesExpectedBuffer) {
+  // Rank r contributes {10r, 10r+1, 10r+2}; every rank must end up with the
+  // rank-ordered concatenation, built here explicitly.
   for (int ranks : {1, 2, 3, 5, 8}) {
     run_world(ranks, [ranks](Comm& comm) {
       std::array<float, 3> mine{};
@@ -24,21 +26,25 @@ TEST(NonblockingCollectives, IallgatherRingMatchesBlocking) {
         mine[static_cast<std::size_t>(i)] =
             static_cast<float>(comm.rank() * 10 + i);
       }
-      const std::size_t total = static_cast<std::size_t>(3 * comm.size());
-      std::vector<float> blocking(total), nonblocking(total);
-      comm.allgather_ring(mine.data(), sizeof(mine), blocking.data());
+      std::vector<float> expected;
+      for (int r = 0; r < comm.size(); ++r) {
+        for (int i = 0; i < 3; ++i) {
+          expected.push_back(static_cast<float>(r * 10 + i));
+        }
+      }
+      std::vector<float> gathered(expected.size());
       Comm::CollectiveRequest req =
-          comm.iallgather_ring(mine.data(), sizeof(mine), nonblocking.data());
+          comm.iallgather_ring(mine.data(), sizeof(mine), gathered.data());
       req.wait();
       EXPECT_FALSE(req.valid());
-      EXPECT_EQ(blocking, nonblocking) << ranks << " ranks";
+      EXPECT_EQ(gathered, expected) << ranks << " ranks";
     });
   }
 }
 
 TEST(NonblockingCollectives, IreduceBitwiseMatchesBlockingReduce) {
   // Every segment size must give bitwise-identical sums to the blocking
-  // linear reduce (same ascending-rank fold), including segments that do
+  // reduce (same ascending-rank fold), including segments that do
   // not divide the count and a segment larger than the payload.
   for (const std::size_t segment : {std::size_t{1}, std::size_t{7},
                                     std::size_t{64}, std::size_t{100000}}) {
@@ -190,8 +196,8 @@ TEST(NonblockingCollectives, InterleaveWithPointToPointAndCollectives) {
         const int left = (comm.rank() + p - 1) % p;
         int token = comm.rank() * 1000 + round;
         int from_left = -1;
-        comm.sendrecv(right, &token, left, &from_left, sizeof(int),
-                      /*tag=*/round);
+        comm.send(right, /*tag=*/round, &token, sizeof(int));
+        comm.recv(left, /*tag=*/round, &from_left, sizeof(int));
         EXPECT_EQ(from_left, left * 1000 + round);
 
         // A blocking collective initiated while both requests are in
@@ -287,11 +293,10 @@ TEST(NonblockingCollectives, RankAbortMidIallgatherUnblocksTheWorld) {
       Error);
 }
 
-TEST(NonblockingCollectives, TreeFanInBitwiseMatchesLinearAndBlocking) {
+TEST(NonblockingCollectives, TreeFanInBitwiseMatchesBlockingReduce) {
   // The tree relays only concatenate; the root folds ascending-rank — so
-  // the tree fan-in must equal both the linear ireduce and the blocking
-  // reduce bit for bit, on every world size (power-of-two and not) and
-  // segment size.
+  // the tree fan-in must equal the blocking reduce bit for bit, on every
+  // world size (power-of-two and not) and segment size.
   for (int ranks : {1, 2, 3, 4, 5, 7, 8}) {
     for (const std::size_t segment :
          {std::size_t{1}, std::size_t{7}, std::size_t{64},
@@ -304,20 +309,14 @@ TEST(NonblockingCollectives, TreeFanInBitwiseMatchesLinearAndBlocking) {
                     (1.0f + static_cast<float>(i) * 1e-6f) *
                     static_cast<float>(1 + comm.rank());
         }
-        std::vector<float> blocking(kCount), linear(kCount), tree(kCount);
+        std::vector<float> blocking(kCount), tree(kCount);
         comm.reduce(mine.data(), blocking.data(), kCount, ReduceOp::kSum, 0);
-        Comm::CollectiveRequest lin =
-            comm.ireduce(mine.data(), linear.data(), kCount, ReduceOp::kSum,
-                         0, segment, {}, ReduceAlgo::kLinear);
-        lin.wait();
         Comm::CollectiveRequest tr =
             comm.ireduce(mine.data(), tree.data(), kCount, ReduceOp::kSum, 0,
-                         segment, {}, ReduceAlgo::kTree);
+                         segment);
         tr.wait();
         if (comm.rank() == 0) {
           for (std::size_t i = 0; i < kCount; ++i) {
-            ASSERT_EQ(blocking[i], linear[i])
-                << ranks << " ranks, segment " << segment << ", element " << i;
             ASSERT_EQ(blocking[i], tree[i])
                 << ranks << " ranks, segment " << segment << ", element " << i;
           }
@@ -347,7 +346,7 @@ TEST(NonblockingCollectives, TreeFanInNonZeroRootAllOps) {
                     op, root);
         Comm::CollectiveRequest req = comm.ireduce(
             mine.data(), comm.rank() == root ? tree.data() : nullptr, kCount,
-            op, root, /*segment_floats=*/16, {}, ReduceAlgo::kTree);
+            op, root, /*segment_floats=*/16);
         req.wait();
         if (comm.rank() == root) {
           for (std::size_t i = 0; i < kCount; ++i) {
@@ -361,7 +360,8 @@ TEST(NonblockingCollectives, TreeFanInNonZeroRootAllOps) {
 }
 
 TEST(NonblockingCollectives, TreeFanInSegmentCallbackStreamsPrefixes) {
-  // The root's per-segment streaming contract is fan-in independent.
+  // The root's per-segment streaming contract holds on a 5-rank tree too,
+  // where relay ranks forward inside their own wait().
   run_world(5, [](Comm& comm) {
     constexpr std::size_t kCount = 10;
     constexpr std::size_t kSegment = 4;  // segments: 4, 4, 2
@@ -377,8 +377,7 @@ TEST(NonblockingCollectives, TreeFanInSegmentCallbackStreamsPrefixes) {
                 }
                 seen.emplace_back(off, len);
               })
-            : Comm::SegmentCallback{},
-        ReduceAlgo::kTree);
+            : Comm::SegmentCallback{});
     req.wait();
     if (comm.rank() == 0) {
       ASSERT_EQ(seen.size(), 3u);
@@ -394,54 +393,49 @@ TEST(NonblockingCollectives, TwoConcurrentIreduceEpochsDifferentSegments) {
   // MULTIPLE ireduce epochs in flight on one communicator — each epoch
   // reserves its own block at initiation, sized by ITS segment count — so
   // per-volume epochs compose in the streaming pipeline. Waits run in
-  // initiation-reversed order, with different segment sizes, roots, and
-  // fan-ins per epoch.
-  for (const auto& algos :
-       {std::pair{ReduceAlgo::kLinear, ReduceAlgo::kLinear},
-        std::pair{ReduceAlgo::kTree, ReduceAlgo::kTree},
-        std::pair{ReduceAlgo::kTree, ReduceAlgo::kLinear}}) {
-    run_world(4, [algos](Comm& comm) {
-      constexpr std::size_t kCountA = 1000;
-      constexpr std::size_t kCountB = 333;
-      std::vector<float> a(kCountA), b(kCountB);
-      for (std::size_t i = 0; i < kCountA; ++i) {
-        a[i] = static_cast<float>(comm.rank() + 1) +
-               static_cast<float>(i) * 0.25f;
-      }
-      for (std::size_t i = 0; i < kCountB; ++i) {
-        b[i] = static_cast<float>(10 * (comm.rank() + 1)) -
-               static_cast<float>(i) * 0.5f;
-      }
-      std::vector<float> ref_a(kCountA), ref_b(kCountB);
-      comm.reduce(a.data(), comm.rank() == 0 ? ref_a.data() : nullptr,
-                  kCountA, ReduceOp::kSum, 0);
-      comm.reduce(b.data(), comm.rank() == 2 ? ref_b.data() : nullptr,
-                  kCountB, ReduceOp::kSum, 2);
+  // initiation-reversed order, with different segment sizes and roots per
+  // epoch.
+  run_world(4, [](Comm& comm) {
+    constexpr std::size_t kCountA = 1000;
+    constexpr std::size_t kCountB = 333;
+    std::vector<float> a(kCountA), b(kCountB);
+    for (std::size_t i = 0; i < kCountA; ++i) {
+      a[i] = static_cast<float>(comm.rank() + 1) +
+             static_cast<float>(i) * 0.25f;
+    }
+    for (std::size_t i = 0; i < kCountB; ++i) {
+      b[i] = static_cast<float>(10 * (comm.rank() + 1)) -
+             static_cast<float>(i) * 0.5f;
+    }
+    std::vector<float> ref_a(kCountA), ref_b(kCountB);
+    comm.reduce(a.data(), comm.rank() == 0 ? ref_a.data() : nullptr,
+                kCountA, ReduceOp::kSum, 0);
+    comm.reduce(b.data(), comm.rank() == 2 ? ref_b.data() : nullptr,
+                kCountB, ReduceOp::kSum, 2);
 
-      std::vector<float> out_a(comm.rank() == 0 ? kCountA : 0);
-      std::vector<float> out_b(comm.rank() == 2 ? kCountB : 0);
-      // Epoch A: 7-float segments (143 tags). Epoch B, initiated while A is
-      // outstanding: 50-float segments (7 tags), different root.
-      Comm::CollectiveRequest ra = comm.ireduce(
-          a.data(), comm.rank() == 0 ? out_a.data() : nullptr, kCountA,
-          ReduceOp::kSum, 0, /*segment_floats=*/7, {}, algos.first);
-      Comm::CollectiveRequest rb = comm.ireduce(
-          b.data(), comm.rank() == 2 ? out_b.data() : nullptr, kCountB,
-          ReduceOp::kSum, 2, /*segment_floats=*/50, {}, algos.second);
-      rb.wait();  // initiation-reversed wait order (identical on all ranks)
-      ra.wait();
-      if (comm.rank() == 0) {
-        for (std::size_t i = 0; i < kCountA; ++i) {
-          ASSERT_EQ(out_a[i], ref_a[i]) << "epoch A element " << i;
-        }
+    std::vector<float> out_a(comm.rank() == 0 ? kCountA : 0);
+    std::vector<float> out_b(comm.rank() == 2 ? kCountB : 0);
+    // Epoch A: 7-float segments (143 tags). Epoch B, initiated while A is
+    // outstanding: 50-float segments (7 tags), different root.
+    Comm::CollectiveRequest ra = comm.ireduce(
+        a.data(), comm.rank() == 0 ? out_a.data() : nullptr, kCountA,
+        ReduceOp::kSum, 0, /*segment_floats=*/7);
+    Comm::CollectiveRequest rb = comm.ireduce(
+        b.data(), comm.rank() == 2 ? out_b.data() : nullptr, kCountB,
+        ReduceOp::kSum, 2, /*segment_floats=*/50);
+    rb.wait();  // initiation-reversed wait order (identical on all ranks)
+    ra.wait();
+    if (comm.rank() == 0) {
+      for (std::size_t i = 0; i < kCountA; ++i) {
+        ASSERT_EQ(out_a[i], ref_a[i]) << "epoch A element " << i;
       }
-      if (comm.rank() == 2) {
-        for (std::size_t i = 0; i < kCountB; ++i) {
-          ASSERT_EQ(out_b[i], ref_b[i]) << "epoch B element " << i;
-        }
+    }
+    if (comm.rank() == 2) {
+      for (std::size_t i = 0; i < kCountB; ++i) {
+        ASSERT_EQ(out_b[i], ref_b[i]) << "epoch B element " << i;
       }
-    });
-  }
+    }
+  });
 }
 
 TEST(NonblockingCollectives, RankAbortMidTreeIreduceUnblocksTheWorld) {
@@ -459,8 +453,7 @@ TEST(NonblockingCollectives, RankAbortMidTreeIreduceUnblocksTheWorld) {
                   }
                   Comm::CollectiveRequest req = comm.ireduce(
                       mine.data(), comm.rank() == 0 ? out.data() : nullptr,
-                      kCount, ReduceOp::kSum, 0, /*segment_floats=*/64, {},
-                      ReduceAlgo::kTree);
+                      kCount, ReduceOp::kSum, 0, /*segment_floats=*/64);
                   req.wait();
                 }),
       Error);

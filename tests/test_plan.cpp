@@ -132,12 +132,9 @@ TEST(PlanProperties, BudgetsAndBytesAreConsistent) {
               plan.slab_floats());
     EXPECT_EQ(plan.reduce_tag_budget(), segments);
 
-    // Gather budgets: one ring (R-1 tags) per round; zero when fused.
-    EXPECT_EQ(plan.gather_tags_per_round(false),
-              static_cast<std::uint64_t>(plan.grid.rows - 1));
-    EXPECT_EQ(plan.gather_tag_budget(false),
-              plan.rounds * static_cast<std::uint64_t>(plan.grid.rows - 1));
-    EXPECT_EQ(plan.gather_tag_budget(true), 0u);
+    // Gather budget: the column exchange runs over user tags.
+    EXPECT_EQ(plan.gather_tags_per_round(), 0u);
+    EXPECT_EQ(plan.gather_tag_budget(), 0u);
 
     // Byte accounting matches the shapes.
     EXPECT_EQ(plan.allgather_bytes_per_round(),
@@ -151,17 +148,15 @@ TEST(PlanProperties, BudgetsAndBytesAreConsistent) {
 }
 
 TEST(PlanTagBudget, LiveEpochNeverExceedsTheBudget) {
-  // Drive a real minimpi world through the collectives one streaming epoch
-  // issues — plan.rounds ring AllGathers on the column comm, one segmented
-  // ireduce on the row comm — and check the live tag counter against the
-  // plan's budgets. Swept over random cases and both fan-ins.
+  // Drive a real minimpi world through the traffic one streaming epoch
+  // issues — plan.rounds point-to-point column exchanges on user tags, one
+  // segmented ireduce on the row comm — and check the live tag counter
+  // against the plan's budgets. Swept over random cases.
   Rng rng(0x5eed0004);
   for (int trial = 0; trial < 8; ++trial) {
     const RandomCase c = random_case(rng);
     const DecompositionPlan plan =
         DecompositionPlan::make(c.geometry, c.options);
-    const mpi::ReduceAlgo algo = trial % 2 == 0 ? mpi::ReduceAlgo::kTree
-                                                : mpi::ReduceAlgo::kLinear;
 
     mpi::run_world(plan.ranks(), [&](mpi::Comm& world) {
       const int rank = world.rank();
@@ -170,21 +165,27 @@ TEST(PlanTagBudget, LiveEpochNeverExceedsTheBudget) {
       mpi::Comm col_comm = world.split(col, row);
       mpi::Comm row_comm = world.split(row, col);
 
-      // Column epoch: one ring AllGather per round.
+      // Column epoch: one all-to-all isend/irecv exchange per round.
       const std::uint64_t col_before = col_comm.collective_tags_reserved();
+      const std::size_t bytes = plan.pixels * sizeof(float);
       std::vector<float> block(plan.pixels, static_cast<float>(rank));
       std::vector<float> gathered(
           static_cast<std::size_t>(plan.grid.rows) * plan.pixels);
       for (std::size_t t = 0; t < plan.rounds; ++t) {
-        col_comm
-            .iallgather_ring(block.data(), plan.pixels * sizeof(float),
-                             gathered.data())
-            .wait();
+        const int tag = static_cast<int>(t);
+        std::vector<mpi::Comm::Request> recvs;
+        for (int r = 0; r < plan.grid.rows; ++r) {
+          if (r == row) continue;
+          col_comm.isend(r, tag, block.data(), bytes).wait();
+          float* slot =
+              gathered.data() + static_cast<std::size_t>(r) * plan.pixels;
+          recvs.push_back(col_comm.irecv(r, tag, slot, bytes));
+        }
+        mpi::Comm::wait_all(recvs);
       }
       const std::uint64_t col_used =
           col_comm.collective_tags_reserved() - col_before;
-      EXPECT_LE(col_used, plan.gather_tag_budget(/*fused=*/false));
-      EXPECT_EQ(col_used, plan.gather_tag_budget(/*fused=*/false));
+      EXPECT_EQ(col_used, plan.gather_tag_budget());
 
       // Row epoch: one segmented ireduce of the slab pair.
       const std::uint64_t row_before = row_comm.collective_tags_reserved();
@@ -193,7 +194,7 @@ TEST(PlanTagBudget, LiveEpochNeverExceedsTheBudget) {
       row_comm
           .ireduce(partial.data(), col == 0 ? reduced.data() : nullptr,
                    partial.size(), mpi::ReduceOp::kSum, /*root=*/0,
-                   plan.reduce_segment_floats, {}, algo)
+                   plan.reduce_segment_floats)
           .wait();
       const std::uint64_t row_used =
           row_comm.collective_tags_reserved() - row_before;

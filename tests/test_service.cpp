@@ -495,8 +495,8 @@ TEST(ServiceAcceptance, MixedFdkAndIterativeQueueWithFailureIsolation) {
 
 TEST(ValidationConsolidation, OptionErrorsAreIdenticalAcrossEntryPoints) {
   // The pinned pre-run messages must come out of IfdkOptions::validate /
-  // DecompositionPlan::make verbatim from every entry point: the blocking
-  // runtime, the streaming runtime, and the service front door.
+  // DecompositionPlan::make verbatim from every entry point:
+  // run_distributed, run_streaming, and the service front door.
   const auto g = small_geometry();
   IfdkOptions opts;
   opts.ranks = 3;
